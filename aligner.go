@@ -22,11 +22,29 @@ type AlignerOptions struct {
 	// matrix on each Result (EstimatedCrosswalk returns nil). Saves one
 	// matrix copy per attribute in large batches.
 	DiscardCrosswalks bool
-	// DenseSolver forces weight learning through the original dense
-	// solvers instead of the cached normal-equations fast path. The two
-	// agree to ~1e-9 relative; this is a numerical cross-check and
-	// escape hatch, not a performance option.
+	// DenseSolver has no effect: weight learning always runs the
+	// cached normal-equations solver.
+	//
+	// Deprecated: the dense solver is no longer part of the library;
+	// it survives only as a test oracle. The field will be removed.
 	DenseSolver bool
+}
+
+// engineOptions maps the public options onto the core engine's.
+func (o *AlignerOptions) engineOptions() core.Options {
+	co := core.Options{KeepDM: !o.DiscardCrosswalks}
+	if o.Fallback != nil {
+		co.FallbackDM = o.Fallback.matrix()
+	}
+	return co
+}
+
+// workerCount resolves the AlignAll pool size: Workers, or one per CPU.
+func (o *AlignerOptions) workerCount() int {
+	if o.Workers > 0 {
+		return o.Workers
+	}
+	return runtime.NumCPU()
 }
 
 // Aligner is a reusable GeoAlign engine for crosswalking many
@@ -68,19 +86,11 @@ func NewAligner(refs []Reference, opts *AlignerOptions) (*Aligner, error) {
 		}
 		coreRefs[k] = core.Reference{Name: r.Name, Source: r.Source, DM: r.Crosswalk.matrix()}
 	}
-	coreOpts := core.Options{KeepDM: !opts.DiscardCrosswalks, DenseSolver: opts.DenseSolver}
-	if opts.Fallback != nil {
-		coreOpts.FallbackDM = opts.Fallback.matrix()
-	}
-	engine, err := core.NewEngine(coreRefs, coreOpts)
+	engine, err := core.NewEngine(coreRefs, opts.engineOptions())
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return &Aligner{engine: engine, workers: workers}, nil
+	return &Aligner{engine: engine, workers: opts.workerCount()}, nil
 }
 
 // SourceUnits returns the number of source units the references share.

@@ -24,6 +24,8 @@ import (
 	"geoalign/internal/core"
 	"geoalign/internal/eval"
 	"geoalign/internal/geom"
+	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/linalgtest"
 	"geoalign/internal/partition"
 	"geoalign/internal/sparse"
 	"geoalign/internal/synth"
@@ -220,8 +222,8 @@ func BenchmarkAlignUS(b *testing.B) {
 //   - gram: the steady-state fast path — a prebuilt Engine's cached
 //     normal equations, per call only c = Aᵀb plus a k-space solve;
 //   - cold: the one-shot path, Gram precomputation included per call;
-//   - dense: the original solvers (tall augmented system, QR-based
-//     NNLS inner solves), kept as the escape-hatch baseline.
+//   - dense: the test-only dense oracle (linalgtest) on the tall
+//     augmented system.
 func BenchmarkWeightLearning(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	p := synth.ScalingProblem(rng, 30238, 3142, 7)
@@ -239,18 +241,44 @@ func BenchmarkWeightLearning(b *testing.B) {
 	})
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.LearnWeights(p, core.Options{}); err != nil {
+			if _, err := core.LearnWeights(p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
+		// The test-only dense solver on the tall augmented system, with
+		// the same design-matrix build as cold: the gap to cold is the
+		// Gram solver's win.
 		for i := 0; i < b.N; i++ {
-			if _, err := core.LearnWeights(p, core.Options{DenseSolver: true}); err != nil {
+			cols := make([][]float64, len(p.References))
+			for k, r := range p.References {
+				cols[k] = maxNormalised(r.DM.RowSums())
+			}
+			a, err := linalg.MatrixFromColumns(cols)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := linalgtest.SimplexLeastSquares(a, maxNormalised(p.Objective)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// maxNormalised returns v / max(v), the Eq. 15 normalisation.
+func maxNormalised(v []float64) []float64 {
+	var mx float64
+	for _, x := range v {
+		mx = math.Max(mx, x)
+	}
+	out := make([]float64, len(v))
+	for i, x := range v {
+		if mx != 0 {
+			out[i] = x / mx
+		}
+	}
+	return out
 }
 
 // BenchmarkDasymetric times the single-reference baseline at US scale.
@@ -275,6 +303,8 @@ func BenchmarkDasymetric(b *testing.B) {
 //     parallel kernels on at their default threshold;
 //   - batch-warm-parallel: AlignAll on a prebuilt Aligner — the steady
 //     state of a long-lived service;
+//   - gram-warm: the same steady state, tracked under its own name;
+//   - width-1: AlignAll of one objective on the prebuilt Aligner;
 //   - batch-warm-serial: the same prebuilt Aligner with one worker and
 //     the parallel kernels disabled, isolating the precomputation win
 //     from the parallelism win.
@@ -360,16 +390,18 @@ func BenchmarkAlignerBatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("dense-warm", func(b *testing.B) {
-		// The same workload forced through the dense weight-learning
-		// solvers: the gap to gram-warm is the solver win alone.
-		al, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true, DenseSolver: true})
+	b.Run("width-1", func(b *testing.B) {
+		// AlignAll of a single objective — what a coalesced serving
+		// request that found no company runs. The kernel strides by the
+		// live chunk width, so this costs one lane, not a full chunk.
+		al, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		one := objectives[:1]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := al.AlignAll(objectives); err != nil {
+			if _, err := al.AlignAll(one); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -242,7 +242,7 @@ func Weights(objective []float64, refs []Reference) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := core.LearnWeights(p, core.Options{})
+	w, err := core.LearnWeights(p)
 	if err != nil {
 		return nil, mapErr(err)
 	}

@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"geoalign/internal/atomicfile"
 	"geoalign/internal/geom"
 )
 
@@ -157,32 +158,15 @@ func sortEdges(es []*Edge) {
 }
 
 // Save writes the sidecar atomically (temp file + rename in the target
-// directory), matching the snapshot persistence discipline: a crash
-// mid-write leaves the previous index intact.
+// directory, both fsynced), matching the snapshot persistence
+// discipline: a crash mid-write leaves the previous index intact.
 func (c *Catalog) Save(path string) error {
 	data := c.Encode()
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".catalog-*.tmp")
+	err := atomicfile.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("catalog: save: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("catalog: save: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("catalog: save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("catalog: save: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
 		return fmt.Errorf("catalog: save: %w", err)
 	}
 	return nil

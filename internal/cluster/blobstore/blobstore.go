@@ -10,9 +10,9 @@
 //
 // On-disk layout: one file per blob, named "sha256-<hex>.snap" inside
 // the store directory. Publication is atomic (temp file in the same
-// directory, fsync, rename), so a crashed writer never leaves a
-// half-blob under a valid name and concurrent publishers of the same
-// digest converge on identical bytes.
+// directory, fsync, rename, directory fsync; see atomicfile), so a
+// crashed writer never leaves a half-blob under a valid name and
+// concurrent publishers of the same digest converge on identical bytes.
 package blobstore
 
 import (
@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"geoalign/internal/atomicfile"
 	"geoalign/internal/snapshot"
 )
 
@@ -115,23 +116,7 @@ func (s *Store) Stat(digest string) (int64, error) {
 // The digest is computed while writing; publication is atomic. Putting
 // bytes already present is a no-op that still reports their digest.
 func (s *Store) Put(r io.Reader) (digest string, size int64, err error) {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return "", 0, fmt.Errorf("blobstore: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	h := snapshot.NewDigester()
-	size, err = io.Copy(io.MultiWriter(tmp, h), r)
-	if err != nil {
-		return "", 0, fmt.Errorf("blobstore: %w", err)
-	}
-	digest = snapshot.FormatDigest(h)
-	return digest, size, s.seal(&tmp, digest)
+	return s.put(r, "")
 }
 
 // PutExpected is Put for callers that already know the digest they are
@@ -143,25 +128,30 @@ func (s *Store) PutExpected(r io.Reader, want string) (size int64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return 0, fmt.Errorf("blobstore: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
+	_, size, err = s.put(r, want)
+	return size, err
+}
+
+// put streams r into a temp file while hashing it, then renames the
+// file to its content address — unless want is set and the digest
+// differs, in which case nothing is published.
+func (s *Store) put(r io.Reader, want string) (digest string, size int64, err error) {
+	err = atomicfile.Publish(s.dir, ".put-*", func(w io.Writer) (string, error) {
+		h := snapshot.NewDigester()
+		n, err := io.Copy(io.MultiWriter(w, h), r)
+		if err != nil {
+			return "", err
 		}
-	}()
-	h := snapshot.NewDigester()
-	size, err = io.Copy(io.MultiWriter(tmp, h), r)
+		size, digest = n, snapshot.FormatDigest(h)
+		if want != "" && digest != want {
+			return "", fmt.Errorf("fetched bytes digest %s, want %s", digest, want)
+		}
+		return fileName(digest), nil
+	})
 	if err != nil {
-		return 0, fmt.Errorf("blobstore: %w", err)
+		return "", 0, fmt.Errorf("blobstore: %w", err)
 	}
-	if got := snapshot.FormatDigest(h); got != want {
-		return 0, fmt.Errorf("blobstore: fetched bytes digest %s, want %s", got, want)
-	}
-	return size, s.seal(&tmp, want)
+	return digest, size, nil
 }
 
 // PutFile publishes an existing file (an engine snapshot just written
@@ -173,31 +163,6 @@ func (s *Store) PutFile(path string) (digest string, size int64, err error) {
 	}
 	defer f.Close()
 	return s.Put(f)
-}
-
-// seal fsyncs and renames a temp file into its content address. On
-// success it takes ownership of (and nils) *tmp.
-func (s *Store) seal(tmp **os.File, digest string) error {
-	f := *tmp
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		*tmp = nil
-		return fmt.Errorf("blobstore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		*tmp = nil
-		return fmt.Errorf("blobstore: %w", err)
-	}
-	dst := filepath.Join(s.dir, fileName(digest))
-	if err := os.Rename(f.Name(), dst); err != nil {
-		os.Remove(f.Name())
-		*tmp = nil
-		return fmt.Errorf("blobstore: %w", err)
-	}
-	*tmp = nil
-	return nil
 }
 
 // Open returns a reader over a held blob. The caller closes it.

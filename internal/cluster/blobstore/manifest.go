@@ -3,9 +3,11 @@ package blobstore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
+	"geoalign/internal/atomicfile"
 	"geoalign/internal/snapshot"
 )
 
@@ -87,19 +89,14 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 }
 
 // WriteManifest persists a manifest as deterministic, human-diffable
-// JSON (sorted keys, indented) via temp+rename.
+// JSON (sorted keys, indented), published atomically.
 func WriteManifest(path string, m *Manifest) error {
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	return atomicfile.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
 		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }

@@ -6,12 +6,15 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"geoalign/internal/sparse"
 )
 
-// TestEngineBatchBitIdentical pins the serving contract: without a
-// retained DM or fallback the fused batch redistribution must be
-// bitwise identical to per-call Align — including partial tail chunks,
-// multiple workers, and chunk counts around the redistChunk boundary.
+// TestEngineBatchBitIdentical pins the serving contract: the fused
+// batch redistribution must be bitwise identical to per-call Align —
+// including partial tail chunks, multiple workers, and chunk counts
+// around the redistChunk boundary. TestEngineBatchParityTable extends
+// this to the retained-DM and fallback configurations.
 func TestEngineBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, n := range []int{1, redistChunk - 1, redistChunk, redistChunk + 1, 3*redistChunk + 5} {
@@ -42,6 +45,144 @@ func TestEngineBatchBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEngineBatchParityTable pins the one-kernel contract across chunk
+// widths and engine configurations: AlignAll at any width equals
+// per-call Align (or AlignWithSources) bit for bit — weights, targets
+// and retained estimates — both match legacyAlign at 1e-12, every
+// retained estimate preserves volume, and retaining the estimate never
+// changes the target. The parallel mode also runs the kernel's
+// reference products at different worker counts on the two sides (a
+// single call takes three, each chunk of the width-33 batch one).
+func TestEngineBatchParityTable(t *testing.T) {
+	for _, mode := range []string{"serial", "parallel"} {
+		t.Run(mode, func(t *testing.T) {
+			if mode == "parallel" {
+				forceParallelKernels(t, 3)
+			}
+			const ns, nt, k = 60, 13, 4
+			rng := rand.New(rand.NewSource(91))
+			// Every reference is zero on the degenerate rows, so the fallback
+			// configuration has rows to patch.
+			degenerate := map[int]bool{3: true, 17: true, 41: true}
+			refs := engineProblem(rng, ns, nt, k).References
+			for kk := range refs {
+				coo := sparse.NewCOO(ns, nt)
+				for i := 0; i < ns; i++ {
+					if degenerate[i] {
+						continue
+					}
+					cols, vals := refs[kk].DM.Row(i)
+					for p, c := range cols {
+						coo.Add(i, c, vals[p])
+					}
+				}
+				refs[kk].DM = coo.ToCSR()
+			}
+			fallback := engineProblem(rng, ns, nt, 1).References[0].DM
+			// Source overrides for all but the last reference; nil keeps the
+			// reference's own source.
+			sources := make([][]float64, k)
+			baked := append([]Reference(nil), refs...)
+			for kk := 0; kk < k-1; kk++ {
+				src := make([]float64, ns)
+				for i := range src {
+					src[i] = rng.Float64() * 400
+				}
+				sources[kk] = src
+				baked[kk].Source = src
+			}
+
+			plain, err := NewEngine(refs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range []struct {
+				name string
+				opts Options
+			}{
+				{"discard", Options{}},
+				{"keep-dm", Options{KeepDM: true}},
+				{"keep-dm+fallback", Options{KeepDM: true, FallbackDM: fallback}},
+			} {
+				e, err := NewEngine(refs, cfg.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// AlignAll takes no overrides: the batch side of the override
+				// rows runs on an engine with the sources baked in.
+				eBaked, err := NewEngine(baked, cfg.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, override := range []bool{false, true} {
+					for _, width := range []int{1, 2, 15, 16, 17, 33} {
+						objectives := make([][]float64, width)
+						for a := range objectives {
+							obj := make([]float64, ns)
+							for i := range obj {
+								obj[i] = rng.Float64() * 50
+							}
+							objectives[a] = obj
+						}
+						batchEngine, oracleRefs := e, refs
+						if override {
+							batchEngine, oracleRefs = eBaked, baked
+						}
+						batch, err := batchEngine.AlignAll(objectives, 2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for a, obj := range objectives {
+							tag := fmt.Sprintf("%s override=%v width=%d objective %d", cfg.name, override, width, a)
+							var single *Result
+							if override {
+								single, err = e.AlignWithSources(obj, sources)
+							} else {
+								single, err = e.Align(obj)
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", tag, err)
+							}
+							resultsClose(t, tag+" (batch vs single)", batch[a], single, 0)
+							want, err := legacyAlign(Problem{Objective: obj, References: oracleRefs}, cfg.opts)
+							if err != nil {
+								t.Fatalf("%s: legacy: %v", tag, err)
+							}
+							resultsClose(t, tag+" (single vs legacy)", single, want, 1e-12)
+							if single.DM != nil {
+								if row := CheckVolumePreserving(single.DM, obj, 1e-9); row >= 0 {
+									t.Fatalf("%s: retained estimate loses volume at row %d", tag, row)
+								}
+							}
+							if cfg.opts.FallbackDM == nil && !override {
+								discard, err := plain.Align(obj)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !bitEqual(single.Target, discard.Target) {
+									t.Fatalf("%s: target depends on KeepDM", tag)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// forceParallelKernels runs the sparse kernels and the redistribution
+// kernel's reference products on the given number of workers whatever
+// the problem size, restoring the defaults when the test ends.
+func forceParallelKernels(t *testing.T, workers int) {
+	sparse.SetParallelThreshold(0)
+	sparse.SetKernelWorkers(workers)
+	t.Cleanup(func() {
+		sparse.SetParallelThreshold(sparse.DefaultParallelThreshold)
+		sparse.SetKernelWorkers(0)
+	})
 }
 
 // TestEngineAlignContextCancelled checks the single-call cancellation

@@ -60,14 +60,11 @@ var (
 // Options tunes GeoAlign behaviour. The zero value reproduces the
 // paper's algorithm.
 type Options struct {
-	// KeepDM retains the estimated disaggregation matrix in the Result.
-	// It is cheap (the matrix is built anyway) but callers crosswalking
-	// many attributes may prefer to drop it.
+	// KeepDM retains the estimated disaggregation matrix in the Result,
+	// materialised in the references' union sparsity pattern. The
+	// target estimate does not depend on it; callers crosswalking many
+	// attributes may prefer to drop it.
 	KeepDM bool
-	// SolverIterations, if positive, switches weight learning to the
-	// projected-gradient solver with the given iteration budget instead
-	// of the active-set solver. Mainly useful for experimentation.
-	SolverIterations int
 	// FallbackDM, if set, redistributes the aggregates of source units
 	// where every reference is zero (the Eq. 14 degenerate case, which
 	// the paper drops) according to this crosswalk instead — typically
@@ -75,12 +72,6 @@ type Options struct {
 	// areal weighting rather than losing the mass. It must be
 	// |U^s|×|U^t| shaped.
 	FallbackDM *sparse.CSR
-	// DenseSolver forces weight learning through the original dense
-	// solvers (tall augmented system, QR-based NNLS inner solves)
-	// instead of the cached normal-equations fast path. The two agree
-	// to ~1e-9 relative; the dense path is kept as a numerical
-	// cross-check and escape hatch.
-	DenseSolver bool
 }
 
 // Align runs GeoAlign (Algorithm 1): weight learning (Eq. 15),
@@ -115,8 +106,9 @@ func Align(p Problem, opts Options) (*Result, error) {
 
 // LearnWeights performs only GeoAlign's weight-learning step and
 // returns β. Exposed separately for the robustness experiments that
-// inspect the learned weights.
-func LearnWeights(p Problem, opts Options) ([]float64, error) {
+// inspect the learned weights. It runs the same Gram-form solve as the
+// Engine, so the two produce bit-identical weights.
+func LearnWeights(p Problem) ([]float64, error) {
 	if _, _, err := validate(p); err != nil {
 		return nil, err
 	}
@@ -128,20 +120,7 @@ func LearnWeights(p Problem, opts Options) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := maxNormalise(p.Objective)
-	if opts.DenseSolver {
-		if opts.SolverIterations > 0 {
-			return linalg.SimplexLeastSquaresPG(a, b, opts.SolverIterations, 0)
-		}
-		return linalg.SimplexLeastSquares(a, b)
-	}
-	// Route the one-shot solve through the same Gram-form code path the
-	// Engine uses, so the two produce bit-identical weights.
-	gs := linalg.NewGramSystem(a)
-	if opts.SolverIterations > 0 {
-		return gs.SimplexLSPG(b, opts.SolverIterations, 0)
-	}
-	return gs.SimplexLS(b, nil)
+	return linalg.NewGramSystem(a).SimplexLS(maxNormalise(p.Objective), nil)
 }
 
 // referenceSource returns the reference's source aggregate vector,
@@ -217,7 +196,7 @@ func validate(p Problem) (ns, nt int, err error) {
 // redistribution per degenerate unit). fbSums must be the fallback's
 // row sums — engines cache them across calls (see fallbackSums); nil
 // computes them fresh.
-func patchRows(dm, fallback *sparse.CSR, fbSums []float64, rows []int, objective []float64) (*sparse.CSR, error) {
+func patchRows(dm, fallback *sparse.CSR, fbSums []float64, rows []int, objective []float64) *sparse.CSR {
 	replace := make(map[int]bool, len(rows))
 	for _, i := range rows {
 		replace[i] = true
@@ -243,7 +222,7 @@ func patchRows(dm, fallback *sparse.CSR, fbSums []float64, rows []int, objective
 			coo.Add(i, j, f*vals[k])
 		}
 	}
-	return coo.ToCSR(), nil
+	return coo.ToCSR()
 }
 
 // Dasymetric runs the single-reference dasymetric method: it

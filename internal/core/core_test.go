@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"geoalign/internal/linalg/linalgtest"
 	"geoalign/internal/sparse"
 )
 
@@ -273,7 +274,12 @@ func TestAlignProjectedGradientSolverAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Align(p, Options{SolverIterations: 30000})
+	a, b := weightSystem(t, p)
+	beta, err := linalgtest.SimplexLeastSquaresPG(a, b, 30000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := legacyRedistribute(p, Options{}, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +335,7 @@ func TestLearnWeightsPrefersCorrelatedReference(t *testing.T) {
 	beta, err := LearnWeights(Problem{
 		Objective:  obj,
 		References: []Reference{{DM: good}, {DM: bad}},
-	}, Options{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,12 +323,7 @@ func (e *Engine) applyColumnPlans(ne *Engine, plans []colPlan, deep bool) {
 			return
 		}
 		wm := e.weightMat.Clone()
-		gs := e.gram.MutableClone(wm)
-		// G is unchanged, so the parent's Lipschitz constant still holds.
-		if lip, ok := e.gram.CachedLipschitz(); ok {
-			gs.PrimeLipschitz(lip)
-		}
-		ne.weightMat, ne.gram = wm, gs
+		ne.weightMat, ne.gram = wm, e.gram.MutableClone(wm)
 		return
 	}
 

@@ -20,15 +20,15 @@ import (
 //   - validated shapes (every reference |U^s|×|U^t|),
 //   - the Eq. 15 design matrix of max-normalised reference source
 //     aggregates, together with its normal-equations form (the k×k
-//     Gram matrix AᵀA, ‖A‖∞ and — lazily — the projected-gradient
-//     Lipschitz constant), so each per-attribute solve only computes
-//     c = Aᵀb in O(ns·k) and then works in k-dimensional space,
+//     Gram matrix AᵀA and ‖A‖∞), so each per-attribute solve only
+//     computes c = Aᵀb in O(ns·k) and then works in k-dimensional
+//     space,
 //   - each reference crosswalk's row sums and their maximum (the
 //     per-reference normaliser of the Eq. 14 numerator),
 //   - the union sparsity pattern of the reference crosswalks plus a
-//     per-reference map from stored entries into that pattern, so the
-//     β-weighted combination fills a flat value buffer with no
-//     allocation, sorting or merging per call,
+//     per-reference map from stored entries into that pattern, so a
+//     retained estimate (KeepDM) is materialised into a flat value
+//     buffer with no sorting or merging per call,
 //   - the zero-row mask of source units with no stored entry in any
 //     reference (the Eq. 14 degenerate case for every objective).
 //
@@ -60,18 +60,44 @@ type Engine struct {
 	fbOnce sync.Once
 	fbSums []float64 // cached FallbackDM.RowSums(), computed on first degenerate patch
 
-	scratch sync.Pool
-	batch   sync.Pool // *batchScratch for the fused AlignAll chunks
+	scratch sync.Pool // *engineScratch, one per in-flight Align or AlignAll worker
 }
 
-// engineScratch is the per-call mutable state of one Align solve.
+// engineScratch is the per-worker mutable state of the weight-learning
+// step and of the redistribution kernel (batch.go). A chunk of width B
+// uses the kernel buffers at stride B, lane-minor ([row*B+t],
+// [col*B+t]), so the fused inner loops touch consecutive memory.
 type engineScratch struct {
-	val   []float64 // union-pattern value buffer (the Eq. 14 numerator)
-	den   []float64 // its row sums
-	scale []float64 // per-row disaggregation factor
-	w     []float64 // β scaled by the per-reference normaliser
 	b     []float64 // max-normalised objective
-	y     []float64 // one reference's re-aggregated column (DMᵀ·scale)
+	w     []float64 // B × k scaled weights, attribute-major
+	scale []float64 // ns × B per-row disaggregation factors
+	y     []float64 // par × nt × B transpose-product accumulators
+}
+
+// lanes returns the kernel buffers resliced for a chunk of width B
+// whose reference products run par at a time, growing them the first
+// time a chunk that wide runs on this scratch.
+func (s *engineScratch) lanes(e *Engine, B, par int) (w, scale, y []float64) {
+	k := len(e.refs)
+	if len(s.w) < k*B {
+		s.w = make([]float64, k*B)
+		s.scale = make([]float64, e.ns*B)
+	}
+	if len(s.y) < par*e.nt*B {
+		s.y = make([]float64, par*e.nt*B)
+	}
+	return s.w[:k*B], s.scale[:e.ns*B], s.y[:par*e.nt*B]
+}
+
+// kernelWorkers is how many reference products the redistribution
+// kernel may run at once, following the sparse package's parallel
+// threshold over the references' total stored entries.
+func (e *Engine) kernelWorkers() int {
+	nnz := 0
+	for _, r := range e.refs {
+		nnz += r.DM.NNZ()
+	}
+	return sparse.KernelWorkerCount(nnz)
 }
 
 // NewEngine validates the references and precomputes the shared
@@ -121,34 +147,17 @@ func NewEngine(refs []Reference, opts Options) (*Engine, error) {
 	}
 	e.nsReady.Store(true)
 	e.gram = linalg.NewGramSystem(e.weightMat)
-	if opts.SolverIterations > 0 {
-		// The projected-gradient solver is selected: every solve needs
-		// the Lipschitz constant, so pay the power iteration now.
-		e.gram.Lipschitz()
-	}
 
 	e.buildPattern()
 	e.initPools()
 	return e, nil
 }
 
-// initPools installs the scratch-buffer pool factories; called once the
-// pattern and dimensions are final (from NewEngine and the snapshot
-// loader).
+// initPools installs the scratch-buffer pool factory; called once the
+// dimensions are final (from NewEngine, the snapshot loader and
+// ApplyDelta).
 func (e *Engine) initPools() {
-	e.scratch.New = func() any {
-		return &engineScratch{
-			// The pattern CSR carries no values; its entry count is the
-			// length of ColIdx.
-			val:   make([]float64, len(e.pat.ColIdx)),
-			den:   make([]float64, e.ns),
-			scale: make([]float64, e.ns),
-			w:     make([]float64, len(e.refs)),
-			b:     make([]float64, e.ns),
-			y:     make([]float64, e.nt),
-		}
-	}
-	e.batch.New = func() any { return newBatchScratch(e) }
+	e.scratch.New = func() any { return &engineScratch{b: make([]float64, e.ns)} }
 }
 
 // Close releases the mapped snapshot backing a snapshot-loaded engine.
@@ -402,25 +411,10 @@ func (e *Engine) alignWithSourcesContext(ctx context.Context, objective []float6
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.redistribute(objective, beta, s)
-}
-
-// redistribute runs the disaggregation (Eq. 14) and re-aggregation
-// (Eq. 17) steps for an already-learned β, using the caller's scratch.
-// When the caller needs the estimated crosswalk (KeepDM) or a fallback
-// patch for degenerate rows, the full matrix is built in the union
-// pattern; otherwise the target is computed directly in transpose form
-// (see redistributeTargets), which never materialises the per-entry
-// values.
-func (e *Engine) redistribute(objective, beta []float64, s *engineScratch) (*Result, error) {
-	if !e.opts.KeepDM && e.opts.FallbackDM == nil {
-		res := &Result{Weights: beta, Target: make([]float64, e.nt)}
-		e.scaledWeights(s.w, beta)
-		e.rowScales(s.scale, s.den, objective, s.w)
-		e.redistributeTargets(s.w, s.scale, s.y, res.Target)
-		return res, nil
-	}
-	return e.redistributeDM(objective, beta, s)
+	var res [1]*Result
+	var errs [1]error
+	e.redistributeBatch([][]float64{objective}, []int{0}, [][]float64{beta}, res[:], errs[:], e.kernelWorkers(), s)
+	return res[0], errs[0]
 }
 
 // scaledWeights fills w with the Eq. 14 numerator weights: β_k
@@ -432,138 +426,6 @@ func (e *Engine) scaledWeights(w, beta []float64) {
 			w[k] = bk / mx
 		}
 	}
-}
-
-// rowScales fills scale with the per-row disaggregation factor
-// objective_i / den_i, where den_i = Σ_k w_k·rowsum_k(i) uses the
-// cached reference row sums — the same value the union-matrix row sum
-// would give, without touching the matrices. Rows with zero support
-// (den_i == 0; the crosswalks are non-negative, so association cannot
-// manufacture or cancel a denominator) get scale 0: the degenerate
-// Eq. 14 case, which drops the row's mass exactly as the full-matrix
-// path does when no fallback is configured.
-func (e *Engine) rowScales(scale, den, objective, w []float64) {
-	for i := range den {
-		den[i] = 0
-	}
-	for k, wk := range w {
-		if wk == 0 {
-			continue
-		}
-		rs := e.rowSums[k]
-		for i, r := range rs {
-			den[i] += wk * r
-		}
-	}
-	for i, d := range den {
-		if d != 0 {
-			scale[i] = objective[i] / d
-		} else {
-			scale[i] = 0
-		}
-	}
-}
-
-// redistributeTargets accumulates the re-aggregated estimate directly:
-//
-//	target = Σ_k w_k · (DM_kᵀ · scale)
-//
-// which is Eq. 17 applied to the Eq. 14 estimate without forming the
-// disaggregation matrix. Each reference's transpose product y is
-// computed with rows ascending and combined in reference order; the
-// batch path (batch.go) uses the same accumulation orders, so single
-// and batched alignment stay bitwise identical. target must be
-// zero-initialised; y is scratch of length nt.
-func (e *Engine) redistributeTargets(w, scale, y, target []float64) {
-	for k, r := range e.refs {
-		wk := w[k]
-		if wk == 0 {
-			continue
-		}
-		for c := range y {
-			y[c] = 0
-		}
-		for i := 0; i < e.ns; i++ {
-			si := scale[i]
-			cols, vals := r.DM.Row(i)
-			for t, v := range vals {
-				y[cols[t]] += v * si
-			}
-		}
-		for c, v := range y {
-			target[c] += wk * v
-		}
-	}
-}
-
-// redistributeDM is the full-matrix redistribution path: the Eq. 14
-// estimate is materialised in the union sparsity pattern, serving the
-// KeepDM and fallback-patch configurations.
-func (e *Engine) redistributeDM(objective, beta []float64, s *engineScratch) (*Result, error) {
-	e.scaledWeights(s.w, beta)
-
-	// Numerator Σ_k w_k·DM_rk scattered into the union pattern. Row
-	// blocks touch disjoint slot ranges, so the parallel path is exact.
-	vm := e.valued(s.val)
-	vm.ForEachRowBlock(func(lo, hi int) {
-		for p := e.pat.IndPtr[lo]; p < e.pat.IndPtr[hi]; p++ {
-			s.val[p] = 0
-		}
-		for k, r := range e.refs {
-			wk := s.w[k]
-			if wk == 0 {
-				continue
-			}
-			slot := e.slots[k]
-			for i := lo; i < hi; i++ {
-				start := r.DM.IndPtr[i]
-				_, vals := r.DM.Row(i)
-				for t, v := range vals {
-					s.val[slot[start+t]] += wk * v
-				}
-			}
-		}
-	})
-
-	// Denominator and per-row scale (Eq. 14), degenerate rows zeroed.
-	vm.RowSumsInto(s.den)
-	var degenerate []int
-	for i := 0; i < e.ns; i++ {
-		s.scale[i] = 0
-		if s.den[i] != 0 {
-			s.scale[i] = objective[i] / s.den[i]
-		} else if objective[i] != 0 {
-			degenerate = append(degenerate, i)
-		}
-	}
-	vm.ScaleRows(s.scale)
-
-	res := &Result{Weights: beta}
-	if e.opts.FallbackDM != nil && len(degenerate) > 0 {
-		// The fallback's shape is checked only when it is actually
-		// needed: a mis-shaped fallback on a problem with no degenerate
-		// rows is ignored, matching Align's historical behaviour.
-		if fb := e.opts.FallbackDM; fb.Rows != e.ns || fb.Cols != e.nt {
-			return nil, fmt.Errorf("core: fallback DM is %dx%d, want %dx%d", fb.Rows, fb.Cols, e.ns, e.nt)
-		}
-		dmo, err := patchRows(e.materialize(s.val), e.opts.FallbackDM, e.fallbackSums(), degenerate, objective)
-		if err != nil {
-			return nil, err
-		}
-		res.Target = dmo.ColSums()
-		if e.opts.KeepDM {
-			res.DM = dmo
-		}
-		return res, nil
-	}
-
-	// Re-aggregation (Eq. 17).
-	res.Target = make([]float64, e.nt)
-	vm.ColSumsInto(res.Target)
-	if e.opts.KeepDM {
-		res.DM = e.materialize(s.val)
-	}
-	return res, nil
 }
 
 // fallbackSums returns the cached row sums of the fallback crosswalk,
@@ -611,7 +473,6 @@ func (e *Engine) checkObjective(objective []float64) error {
 // are given. The objective is max-normalised into the scratch buffer,
 // and warm (optional) seeds the active-set solver from a previous β.
 func (e *Engine) learnWeights(objective []float64, sources [][]float64, s *engineScratch, warm []float64) ([]float64, error) {
-	mat := e.weightMat
 	gs := e.gram
 	if sources != nil {
 		if len(sources) != len(e.refs) {
@@ -629,47 +490,16 @@ func (e *Engine) learnWeights(objective []float64, sources [][]float64, s *engin
 			}
 			cols[k] = maxNormalise(sources[k])
 		}
-		var err error
-		mat, err = linalg.MatrixFromColumns(cols)
+		mat, err := linalg.MatrixFromColumns(cols)
 		if err != nil {
 			return nil, err
 		}
-		gs = nil
-	}
-	maxNormaliseInto(s.b, objective)
-	if e.opts.DenseSolver {
-		if e.opts.SolverIterations > 0 {
-			return linalg.SimplexLeastSquaresPG(mat, s.b, e.opts.SolverIterations, 0)
-		}
-		return linalg.SimplexLeastSquares(mat, s.b)
-	}
-	if gs == nil {
 		// Source overrides change the design matrix, so the cached Gram
 		// system does not apply; a single-use one keeps the solve in
 		// k-space and bit-identical to an engine with those sources
 		// baked in.
 		gs = linalg.NewGramSystem(mat)
 	}
-	if e.opts.SolverIterations > 0 {
-		return gs.SimplexLSPG(s.b, e.opts.SolverIterations, 0)
-	}
+	maxNormaliseInto(s.b, objective)
 	return gs.SimplexLS(s.b, warm)
-}
-
-// valued wraps the union pattern around a value buffer. The returned
-// matrix shares IndPtr/ColIdx with the engine and must not escape the
-// call that owns buf.
-func (e *Engine) valued(buf []float64) *sparse.CSR {
-	return &sparse.CSR{Rows: e.ns, Cols: e.nt, IndPtr: e.pat.IndPtr, ColIdx: e.pat.ColIdx, Val: buf}
-}
-
-// materialize deep-copies the union pattern with the given values into
-// a standalone CSR the caller may keep or mutate.
-func (e *Engine) materialize(val []float64) *sparse.CSR {
-	return &sparse.CSR{
-		Rows: e.ns, Cols: e.nt,
-		IndPtr: append([]int(nil), e.pat.IndPtr...),
-		ColIdx: append([]int(nil), e.pat.ColIdx...),
-		Val:    append([]float64(nil), val...),
-	}
 }

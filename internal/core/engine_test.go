@@ -10,17 +10,25 @@ import (
 	"geoalign/internal/sparse"
 )
 
-// legacyAlign is the pre-Engine Align implementation, kept verbatim as
-// the oracle: the Engine must reproduce its numerics on every input.
+// legacyAlign is the pre-Engine Align implementation, kept as the
+// oracle: the Engine must reproduce its numerics on every input.
 func legacyAlign(p Problem, opts Options) (*Result, error) {
-	ns, _, err := validate(p)
+	if _, _, err := validate(p); err != nil {
+		return nil, err
+	}
+	beta, err := LearnWeights(p)
 	if err != nil {
 		return nil, err
 	}
-	beta, err := LearnWeights(p, opts)
-	if err != nil {
-		return nil, err
-	}
+	return legacyRedistribute(p, opts, beta)
+}
+
+// legacyRedistribute is the pre-Engine disaggregation and
+// re-aggregation (Eq. 14/17) for a given β: the full estimated matrix
+// built with sparse.WeightedSum, its row sums as the denominator, the
+// fallback patch, and the target as its column sums.
+func legacyRedistribute(p Problem, opts Options, beta []float64) (*Result, error) {
+	ns := len(p.Objective)
 	dms := make([]*sparse.CSR, len(p.References))
 	w := make([]float64, len(p.References))
 	for k, r := range p.References {
@@ -50,10 +58,7 @@ func legacyAlign(p Problem, opts Options) (*Result, error) {
 		if fb.Rows != ns || fb.Cols != dmo.Cols {
 			return nil, fmt.Errorf("core: fallback DM is %dx%d, want %dx%d", fb.Rows, fb.Cols, ns, dmo.Cols)
 		}
-		dmo, err = patchRows(dmo, fb, nil, degenerate, p.Objective)
-		if err != nil {
-			return nil, err
-		}
+		dmo = patchRows(dmo, fb, nil, degenerate, p.Objective)
 	}
 	target := dmo.ColSums()
 	res := &Result{Target: target, Weights: beta}
@@ -61,6 +66,22 @@ func legacyAlign(p Problem, opts Options) (*Result, error) {
 		res.DM = dmo
 	}
 	return res, nil
+}
+
+// weightSystem returns the Eq. 15 design matrix of max-normalised
+// reference sources and the max-normalised objective, as LearnWeights
+// builds them, for driving the test-only oracle solvers.
+func weightSystem(t testing.TB, p Problem) (*linalg.Matrix, []float64) {
+	t.Helper()
+	cols := make([][]float64, len(p.References))
+	for k, r := range p.References {
+		cols[k] = maxNormalise(referenceSource(r))
+	}
+	a, err := linalg.MatrixFromColumns(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, maxNormalise(p.Objective)
 }
 
 // engineProblem builds a randomized problem with empty rows, explicit
@@ -124,12 +145,7 @@ func TestEngineMatchesLegacyAlign(t *testing.T) {
 	for _, mode := range []string{"serial", "parallel"} {
 		t.Run(mode, func(t *testing.T) {
 			if mode == "parallel" {
-				sparse.SetParallelThreshold(0)
-				sparse.SetKernelWorkers(4)
-				t.Cleanup(func() {
-					sparse.SetParallelThreshold(sparse.DefaultParallelThreshold)
-					sparse.SetKernelWorkers(0)
-				})
+				forceParallelKernels(t, 4)
 			}
 			rng := rand.New(rand.NewSource(21))
 			for trial := 0; trial < 60; trial++ {
@@ -138,9 +154,6 @@ func TestEngineMatchesLegacyAlign(t *testing.T) {
 				k := 1 + rng.Intn(5)
 				p := engineProblem(rng, ns, nt, k)
 				opts := Options{KeepDM: trial%2 == 0}
-				if trial%7 == 3 {
-					opts.SolverIterations = 500
-				}
 				if trial%5 == 4 {
 					opts.FallbackDM = engineProblem(rng, ns, nt, 1).References[0].DM
 				}

@@ -5,20 +5,21 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"geoalign/internal/linalg/linalgtest"
 )
 
 // tallProblem builds a problem tall enough (ns ≫ 8k) that the dense
 // NNLS passive-set solver stays on its normal-equations branch — the
-// regime where the Gram fast path and the dense escape hatch must agree
-// to 1e-9.
+// regime where the Gram solver and the dense oracle must agree to 1e-9.
 func tallProblem(rng *rand.Rand, ns, k int) Problem {
 	return engineProblem(rng, ns, 6, k)
 }
 
-// TestEngineGramMatchesDenseSolver drives the default (Gram) path and
-// the Options.DenseSolver escape hatch over randomized tall problems;
-// the learned weights must agree to 1e-9 absolute (β lives on the
-// simplex, so absolute and relative coincide in scale).
+// TestEngineGramMatchesDenseSolver drives the engine's Gram solve and
+// the test-only dense solver over randomized tall problems; the learned
+// weights must agree to 1e-9 absolute (β lives on the simplex, so
+// absolute and relative coincide in scale).
 func TestEngineGramMatchesDenseSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 30; trial++ {
@@ -30,17 +31,14 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewEngine: %v", trial, err)
 		}
-		dense, err := NewEngine(p.References, Options{DenseSolver: true})
-		if err != nil {
-			t.Fatalf("trial %d: NewEngine dense: %v", trial, err)
-		}
 		bf, err := fast.LearnWeights(p.Objective)
 		if err != nil {
 			t.Fatalf("trial %d: gram LearnWeights: %v", trial, err)
 		}
-		bd, err := dense.LearnWeights(p.Objective)
+		a, b := weightSystem(t, p)
+		bd, err := linalgtest.SimplexLeastSquares(a, b)
 		if err != nil {
-			t.Fatalf("trial %d: dense LearnWeights: %v", trial, err)
+			t.Fatalf("trial %d: dense solve: %v", trial, err)
 		}
 		for j := range bd {
 			if math.Abs(bf[j]-bd[j]) > 1e-9 {
@@ -50,7 +48,7 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 
 		// The free function must agree with the engine bit for bit:
 		// both route through the same Gram code path.
-		free, err := LearnWeights(p, Options{})
+		free, err := LearnWeights(p)
 		if err != nil {
 			t.Fatalf("trial %d: free LearnWeights: %v", trial, err)
 		}
@@ -60,14 +58,15 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 			}
 		}
 
-		// Full Align through both paths: targets within 1e-9 relative.
+		// Full Align against the legacy redistribution of the dense
+		// weights: targets within 1e-9 relative.
 		rf, err := fast.Align(p.Objective)
 		if err != nil {
 			t.Fatalf("trial %d: gram Align: %v", trial, err)
 		}
-		rd, err := dense.Align(p.Objective)
+		rd, err := legacyRedistribute(p, Options{}, bd)
 		if err != nil {
-			t.Fatalf("trial %d: dense Align: %v", trial, err)
+			t.Fatalf("trial %d: dense redistribution: %v", trial, err)
 		}
 		for j := range rd.Target {
 			if math.Abs(rf.Target[j]-rd.Target[j]) > 1e-9*(1+math.Abs(rd.Target[j])) {
@@ -77,12 +76,13 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 	}
 }
 
-// TestEngineDenseSolverAlignAll checks that the dense escape hatch is
-// honoured on the batch path too.
+// TestEngineDenseSolverAlignAll checks the batch path against the
+// test-only dense solver: every warm-started, batch-prepared β agrees
+// with a cold dense solve of the same objective to 1e-9.
 func TestEngineDenseSolverAlignAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	p := tallProblem(rng, 120, 3)
-	dense, err := NewEngine(p.References, Options{DenseSolver: true})
+	e, err := NewEngine(p.References, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +94,21 @@ func TestEngineDenseSolverAlignAll(t *testing.T) {
 		}
 		objectives[a] = obj
 	}
-	batch, err := dense.AlignAll(objectives, 4)
+	batch, err := e.AlignAll(objectives, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a, obj := range objectives {
-		want, err := dense.Align(obj)
+	for o, obj := range objectives {
+		a, b := weightSystem(t, Problem{Objective: obj, References: p.References})
+		want, err := linalgtest.SimplexLeastSquares(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsClose(t, fmt.Sprintf("dense objective %d", a), batch[a], want, 0)
+		for j := range want {
+			if math.Abs(batch[o].Weights[j]-want[j]) > 1e-9 {
+				t.Fatalf("objective %d: β differs: batch %v dense %v", o, batch[o].Weights, want)
+			}
+		}
 	}
 }
 
@@ -148,42 +153,6 @@ func TestEngineBatchWarmStartStress(t *testing.T) {
 			}
 			for a := range objectives {
 				resultsClose(t, fmt.Sprintf("ns=%d k=%d workers=%d objective %d", cfg.ns, cfg.k, workers, a), batch[a], want[a], 0)
-			}
-		}
-	}
-}
-
-// TestEnginePGGramMatchesDensePG compares the cached-Lipschitz FISTA
-// path against the dense projected-gradient solver.
-func TestEnginePGGramMatchesDensePG(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	for trial := 0; trial < 10; trial++ {
-		k := 2 + rng.Intn(3)
-		p := tallProblem(rng, 100+rng.Intn(100), k)
-		opts := Options{SolverIterations: 3000}
-		fast, err := NewEngine(p.References, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.DenseSolver = true
-		dense, err := NewEngine(p.References, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, err := fast.LearnWeights(p.Objective)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bd, err := dense.LearnWeights(p.Objective)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Identical FISTA recursions on differently-rounded gradients:
-		// the iterates track each other far inside the 1e-6 band FISTA
-		// itself converges to.
-		for j := range bd {
-			if math.Abs(bf[j]-bd[j]) > 1e-6 {
-				t.Fatalf("trial %d: PG β differs: gram %v dense %v", trial, bf, bd)
 			}
 		}
 	}

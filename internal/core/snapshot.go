@@ -14,8 +14,8 @@ import (
 //
 // A snapshot stores every attribute-independent precompute NewEngine
 // derives from raw crosswalks — the reference CSRs, the Eq. 15 design
-// matrix, its Gram system (with the Lipschitz constant and Cholesky
-// factor when they have been computed), the union sparsity pattern with
+// matrix, its Gram system (with the Cholesky factor when it has been
+// computed), the union sparsity pattern with
 // per-reference slot maps, the Eq. 14 row-sum normalisers and the
 // zero-support mask — so loading rebuilds the Engine by wiring views
 // over the mapped file instead of re-running the build pipeline.
@@ -26,7 +26,7 @@ import (
 // refSectionBase + ref*refSectionStride + field.
 const (
 	secMeta       = 1  // ints: ns, nt, k, flags
-	secScalars    = 2  // f64: ‖A‖∞, Lipschitz constant (valid iff flagLipschitz)
+	secScalars    = 2  // f64: ‖A‖∞, then a reserved slot (see flagLipschitz)
 	secPatIndPtr  = 3  // ints, ns+1: union pattern row pointers
 	secPatColIdx  = 4  // ints: union pattern column indices
 	secWeightMat  = 5  // f64, ns×k row-major: Eq. 15 design matrix
@@ -49,7 +49,7 @@ const (
 
 // Meta flags.
 const (
-	flagLipschitz    = 1 << 0 // the scalars section carries a Lipschitz constant
+	flagLipschitz    = 1 << 0 // older writers: the reserved scalar held a Lipschitz constant; ignored
 	flagCholeskyPD   = 1 << 1 // Cholesky computed, factor stored in secCholesky
 	flagCholeskyFail = 1 << 2 // Cholesky attempted, G not positive definite
 )
@@ -75,8 +75,8 @@ func corruptf(format string, args ...any) error {
 }
 
 // WriteSnapshot serialises the engine's full precompute to w. meta may
-// be nil when unit keys are not tracked. Lazy state (Lipschitz
-// constant, Cholesky factor) is written only if already computed — call
+// be nil when unit keys are not tracked. The lazily computed Cholesky
+// factor is written only if already computed — call
 // PrecomputeSolverCaches first to force it in, as `geoalign snapshot
 // build` does.
 func (e *Engine) WriteSnapshot(w io.Writer, meta *SnapshotMeta) (int64, error) {
@@ -95,11 +95,9 @@ func (e *Engine) SnapshotSize(meta *SnapshotMeta) int64 {
 }
 
 // PrecomputeSolverCaches forces the lazily computed solver state — the
-// projected-gradient Lipschitz constant and the Gram Cholesky factor —
-// so a subsequent WriteSnapshot persists them and loaded engines never
-// pay for either.
+// Gram Cholesky factor — so a subsequent WriteSnapshot persists it and
+// loaded engines never pay for it.
 func (e *Engine) PrecomputeSolverCaches() {
-	e.gram.Lipschitz()
 	e.gram.CholeskyFactor()
 }
 
@@ -107,10 +105,6 @@ func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 	k := len(e.refs)
 	flags := 0
 	scalars := []float64{e.gram.AInf, 0}
-	if lip, ok := e.gram.CachedLipschitz(); ok {
-		flags |= flagLipschitz
-		scalars[1] = lip
-	}
 	chol, cholDone := e.gram.CachedCholesky()
 	if cholDone {
 		if chol != nil {
@@ -163,9 +157,9 @@ func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 }
 
 // LoadSnapshot maps the snapshot at path and rebuilds the engine
-// around it. opts plays the same role as in NewEngine (and, like
-// there, SolverIterations > 0 forces the Lipschitz constant, reusing
-// the persisted one when present). The returned engine owns the
+// around it. opts plays the same role as in NewEngine. Snapshots from
+// older writers may carry a Lipschitz constant (flagLipschitz); it is
+// accepted and ignored. The returned engine owns the
 // mapping: its hot arrays alias the file, so Close must not be called
 // before the last Align completes. Results are bit-identical to the
 // engine the snapshot was written from.
@@ -250,9 +244,6 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		return nil, nil, corruptf("Gram matrix has %d values, want %d x %d", len(gData), k, k)
 	}
 	gram := linalg.RestoreGramSystem(weightMat, &linalg.Matrix{Rows: k, Cols: k, Data: gData}, scalars[0])
-	if flags&flagLipschitz != 0 {
-		gram.PrimeLipschitz(scalars[1])
-	}
 	switch {
 	case flags&flagCholeskyPD != 0:
 		cData, err := f.F64(secCholesky)
@@ -358,11 +349,6 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		e.slots[i] = slots
 	}
 
-	if opts.SolverIterations > 0 {
-		// Same eager policy as NewEngine; a no-op when the constant was
-		// persisted.
-		e.gram.Lipschitz()
-	}
 	e.initPools()
 
 	var meta SnapshotMeta
@@ -423,7 +409,7 @@ func checkCSRShape(what string, indptr, colIdx []int, val []float64, rows, cols 
 // single pass: the CSR invariants of checkCSRShape, plus every stored
 // entry's slot landing on the matching union-pattern column of its own
 // row. The combined guarantee is what makes the engine's unchecked
-// hot-loop indexing (the redistributeDM scatter) safe on loaded data;
+// hot-loop indexing (the materializeDM scatter) safe on loaded data;
 // one fused pass over the entries keeps the mmap cold-start cheap.
 func checkSlots(what string, slots []int, dm, pat *sparse.CSR) error {
 	indptr, colIdx := dm.IndPtr, dm.ColIdx

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"geoalign/internal/linalg/linalgtest"
 	"geoalign/internal/snapshot"
 	"geoalign/internal/sparse"
 )
@@ -173,10 +175,6 @@ func TestSnapshotPersistsSolverCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	built.PrecomputeSolverCaches()
-	wantLip, ok := built.gram.CachedLipschitz()
-	if !ok {
-		t.Fatal("Lipschitz not cached after PrecomputeSolverCaches")
-	}
 
 	var buf bytes.Buffer
 	if _, err := built.WriteSnapshot(&buf, nil); err != nil {
@@ -187,10 +185,6 @@ func TestSnapshotPersistsSolverCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	gotLip, ok := loaded.gram.CachedLipschitz()
-	if !ok || math.Float64bits(gotLip) != math.Float64bits(wantLip) {
-		t.Fatalf("Lipschitz: got (%v,%v), want (%v,true)", gotLip, ok, wantLip)
-	}
 	wantChol, wantDone := built.gram.CachedCholesky()
 	gotChol, gotDone := loaded.gram.CachedCholesky()
 	if !wantDone || !gotDone {
@@ -202,11 +196,13 @@ func TestSnapshotPersistsSolverCaches(t *testing.T) {
 	if wantChol != nil && !bitEqual(gotChol.Data, wantChol.Data) {
 		t.Fatal("Cholesky factor did not round-trip bit-identically")
 	}
+	if metaFlags(t, buf.Bytes())&flagLipschitz != 0 {
+		t.Fatal("new snapshot sets the retired Lipschitz flag")
+	}
 }
 
 // TestSnapshotWithoutSolverCaches: a snapshot written before the lazy
-// state exists must load with the caches unset, and SolverIterations
-// must trigger the same eager Lipschitz computation NewEngine performs.
+// state exists must load with the caches unset.
 func TestSnapshotWithoutSolverCaches(t *testing.T) {
 	built, err := NewEngine(testRefs(), Options{})
 	if err != nil {
@@ -221,36 +217,112 @@ func TestSnapshotWithoutSolverCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if _, ok := loaded.gram.CachedLipschitz(); ok {
-		t.Fatal("Lipschitz unexpectedly cached")
-	}
 	if _, done := loaded.gram.CachedCholesky(); done {
 		t.Fatal("Cholesky unexpectedly cached")
 	}
+}
 
-	pg, _, err := LoadSnapshotBytes(buf.Bytes(), Options{SolverIterations: 50})
+// metaFlags returns the flags field of an encoded engine snapshot's
+// meta section.
+func metaFlags(t *testing.T, data []byte) int {
+	t.Helper()
+	f, err := snapshot.OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pg.Close()
-	if _, ok := pg.gram.CachedLipschitz(); !ok {
-		t.Fatal("SolverIterations did not force the Lipschitz constant")
-	}
-	wantBuilt, err := NewEngine(testRefs(), Options{SolverIterations: 50})
+	defer f.Close()
+	m, err := f.Ints(secMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := []float64{2, 4, 6, 8}
-	want, err := wantBuilt.Align(obj)
+	return m[3]
+}
+
+// TestSnapshotLegacyLipschitzIgnored loads a snapshot in the layout of
+// writers that still persisted a projected-gradient Lipschitz constant
+// (flagLipschitz set, the constant in the second scalar): the loader
+// must accept it, ignore the scalar, and align bit-identically to a
+// freshly built engine.
+func TestSnapshotLegacyLipschitzIgnored(t *testing.T) {
+	built, err := NewEngine(testRefs(), Options{KeepDM: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pg.Align(obj)
+	built.PrecomputeSolverCaches()
+	var buf bytes.Buffer
+	if _, err := built.WriteSnapshot(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-encode every section, replacing meta and scalars with the
+	// legacy form.
+	cur, err := snapshot.OpenBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bitEqual(got.Target, want.Target) {
-		t.Fatal("projected-gradient results differ between built and loaded engines")
+	defer cur.Close()
+	w := snapshot.NewWriter()
+	for _, id := range cur.SectionIDs() {
+		switch id {
+		case secMeta:
+			m, err := cur.Ints(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = append([]int(nil), m...)
+			m[3] |= flagLipschitz
+			w.Ints(id, m)
+		case secScalars:
+			w.F64(id, []float64{built.gram.AInf, linalgtest.PowerIterSym(built.gram.G, 200)})
+		default:
+			copySection(t, cur, w, id)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "legacy.snap")
+	if err := snapshot.WriteFile(path, w); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metaFlags(t, data)&flagLipschitz == 0 {
+		t.Fatal("legacy snapshot lost its Lipschitz flag")
+	}
+
+	loaded, _, err := LoadSnapshot(path, Options{KeepDM: true})
+	if err != nil {
+		t.Fatalf("legacy snapshot rejected: %v", err)
+	}
+	defer loaded.Close()
+	for _, obj := range [][]float64{{10, 20, 30, 40}, {0, 5, 0, 1}, {3, 0, 7, 2}} {
+		want, err := built.Align(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.Align(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitEqual(got.Weights, want.Weights) || !bitEqual(got.Target, want.Target) || !bitEqual(got.DM.Val, want.DM.Val) {
+			t.Fatalf("objective %v: legacy snapshot aligns differently: %+v vs %+v", obj, got, want)
+		}
+	}
+}
+
+// copySection re-encodes section id of f into w, whatever its kind.
+func copySection(t *testing.T, f *snapshot.File, w *snapshot.Writer, id uint32) {
+	t.Helper()
+	if v, err := f.F64(id); err == nil {
+		w.F64(id, v)
+	} else if v, err := f.Ints(id); err == nil {
+		w.Ints(id, v)
+	} else if v, err := f.Bytes(id); err == nil {
+		w.Bytes(id, v)
+	} else if v, err := f.Strings(id); err == nil {
+		w.Strings(id, v)
+	} else {
+		t.Fatalf("section %d: unreadable: %v", id, err)
 	}
 }
 

@@ -126,9 +126,7 @@ func CholDowndate(l *Matrix, x []float64) error {
 // start from fully primed state. a must be an element-wise identical
 // copy of the receiver's design matrix — typically Clone() of it — that
 // no other goroutine can see; the receiver is not modified and remains
-// safe for concurrent readers. The Lipschitz cache is deliberately not
-// carried: the first post-update solve recomputes it against the
-// patched G.
+// safe for concurrent readers.
 func (gs *GramSystem) MutableClone(a *Matrix) *GramSystem {
 	if a.Rows != gs.a.Rows || a.Cols != gs.a.Cols {
 		panic(fmt.Sprintf("linalg: MutableClone matrix is %dx%d, want %dx%d", a.Rows, a.Cols, gs.a.Rows, gs.a.Cols))
@@ -151,9 +149,9 @@ func (gs *GramSystem) MutableClone(a *Matrix) *GramSystem {
 // Cholesky factor is maintained by CholUpdate + CholDowndate (falling
 // back to a full refactorisation from G when the downdate reports
 // indefiniteness, when a previously non-PD system may have regained
-// definiteness, or every cholRefactorEvery updates), and the Lipschitz
-// cache is invalidated. ‖A‖∞ is NOT refreshed here — apply a batch of
-// row updates, then call RefreshInfNorm once.
+// definiteness, or every cholRefactorEvery updates). ‖A‖∞ is NOT
+// refreshed here — apply a batch of row updates, then call
+// RefreshInfNorm once.
 //
 // Only valid on a system produced by MutableClone that no other
 // goroutine is using.
@@ -173,7 +171,6 @@ func (gs *GramSystem) UpdateRow(i int, newRow []float64) {
 			gp[q] += np*newRow[q] - op*old[q]
 		}
 	}
-	gs.lipDone, gs.lip = false, 0
 	if !gs.cholDone {
 		return
 	}
@@ -200,7 +197,7 @@ func (gs *GramSystem) UpdateRow(i int, newRow []float64) {
 // path for whole-column rescales (a revision that moves a column's
 // max-normaliser), where a row-by-row rank-one chain would be both
 // slower and less accurate. The cached Cholesky factor is refactorised
-// from the new G and the Lipschitz cache invalidated.
+// from the new G.
 //
 // Only valid on a system produced by MutableClone that no other
 // goroutine is using.
@@ -233,7 +230,6 @@ func (gs *GramSystem) RecomputeColumns(cols []int) {
 			gs.G.Set(q, j, v)
 		}
 	}
-	gs.lipDone, gs.lip = false, 0
 	if gs.cholDone {
 		gs.refactor()
 	}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -15,15 +16,18 @@ import (
 //
 //   - G = AᵀA, a k×k Gram matrix, built blocked and in parallel over
 //     the ns rows;
-//   - ‖A‖∞, which scales the solvers' tolerances;
-//   - the largest eigenvalue of G (the projected-gradient Lipschitz
-//     constant), computed lazily and cached.
+//   - ‖A‖∞, which scales the solver's tolerances.
 //
 // A per-attribute solve then needs only c = Aᵀb — O(ns·k), blocked and
-// parallel with pooled scratch — after which the active-set and FISTA
-// solvers run entirely in k-dimensional space: each Lawson–Hanson
-// iteration costs one |P|³ Cholesky factorisation instead of the
-// O(ns·|P|²) tall factorisation of the dense path.
+// parallel with pooled scratch — after which the active-set solver runs
+// entirely in k-dimensional space: each Lawson–Hanson iteration costs
+// one |P|³ Cholesky factorisation instead of the O(ns·|P|²) tall
+// factorisation of the dense formulation (kept as a test oracle in
+// linalgtest).
+
+// ErrNoColumns is returned by the simplex least-squares solvers when A
+// has no columns: there is no β to learn.
+var ErrNoColumns = errors.New("linalg: simplex least squares needs at least one column")
 
 // gramBlockRows is the row-block size of the blocked kernels. The
 // reduction over blocks is always performed in block order, so results
@@ -36,8 +40,8 @@ const gramBlockRows = 2048
 const gramParallelMin = 8192
 
 // GramSystem caches the normal-equations form of a fixed design matrix.
-// It is immutable after construction (the lazy Lipschitz/Cholesky
-// caches are internally synchronised) and safe for concurrent use.
+// It is immutable after construction (the lazy Cholesky cache is
+// internally synchronised) and safe for concurrent use.
 // Incremental maintenance goes through MutableClone (cholupdate.go),
 // which derives a single-owner writable copy and leaves the original
 // untouched.
@@ -47,8 +51,6 @@ type GramSystem struct {
 	AInf float64 // matInfNorm(a): scales solver tolerances and μ
 
 	mu       sync.Mutex
-	lipDone  bool
-	lip      float64
 	cholDone bool
 	chol     *Matrix // lower Cholesky factor of G; nil after cholDone ⇒ not PD
 
@@ -81,40 +83,6 @@ func (gs *GramSystem) Cols() int { return gs.a.Cols }
 // Gram returns the cached k×k Gram matrix AᵀA. Callers must not mutate
 // it.
 func (gs *GramSystem) Gram() *Matrix { return gs.G }
-
-// Lipschitz returns the largest eigenvalue of G — the gradient
-// Lipschitz constant of ½‖Aβ−b‖² — computing it on first use and
-// caching it for every later call.
-func (gs *GramSystem) Lipschitz() float64 {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if !gs.lipDone {
-		gs.lip = powerIterSym(gs.G, 200)
-		gs.lipDone = true
-	}
-	return gs.lip
-}
-
-// CachedLipschitz returns the Lipschitz constant if it has already been
-// computed (or primed), without triggering the power iteration.
-func (gs *GramSystem) CachedLipschitz() (float64, bool) {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	return gs.lip, gs.lipDone
-}
-
-// PrimeLipschitz installs a previously computed Lipschitz constant —
-// e.g. one persisted in an engine snapshot — so later Lipschitz calls
-// skip the power iteration. It has no effect if the constant was
-// already computed.
-func (gs *GramSystem) PrimeLipschitz(lip float64) {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if !gs.lipDone {
-		gs.lip = lip
-		gs.lipDone = true
-	}
-}
 
 // CholeskyFactor returns the lower Cholesky factor of G, computing it
 // on first use and caching it (a failed factorisation — G not
@@ -225,24 +193,6 @@ func (gs *GramSystem) SimplexLS(b, warm []float64) ([]float64, error) {
 	c := make([]float64, k)
 	gs.ApplyTInto(c, b)
 	return SimplexLeastSquaresGramWarm(gs.G, c, gs.AInf, Norm2(b), warm)
-}
-
-// SimplexLSPG solves the same problem with the Gram-form FISTA solver,
-// reusing the cached Lipschitz constant.
-func (gs *GramSystem) SimplexLSPG(b []float64, maxIter int, tol float64) ([]float64, error) {
-	k := gs.a.Cols
-	if k == 0 {
-		return nil, ErrNoColumns
-	}
-	if len(b) != gs.a.Rows {
-		return nil, fmt.Errorf("linalg: simplex LS vector length %d != rows %d", len(b), gs.a.Rows)
-	}
-	if k == 1 {
-		return []float64{1}, nil
-	}
-	c := make([]float64, k)
-	gs.ApplyTInto(c, b)
-	return SimplexLeastSquaresPGGram(gs.G, c, gs.Lipschitz(), maxIter, tol)
 }
 
 var gramScratchPool = sync.Pool{New: func() any {
@@ -589,8 +539,9 @@ func solvePassiveGram(g *Matrix, c []float64, passive []bool, z []float64) bool 
 
 // SimplexLeastSquaresGram solves GeoAlign's Eq. 15 weight-learning
 // problem given only the normal equations of the design matrix:
-// g = AᵀA, c = Aᵀb, ainf = ‖A‖∞ and bnorm = ‖b‖₂. It reproduces
-// SimplexLeastSquares exactly — the same μ-weighted equality
+// g = AᵀA, c = Aᵀb, ainf = ‖A‖∞ and bnorm = ‖b‖₂. It reproduces the
+// dense augmented-system solve (linalgtest.SimplexLeastSquares) exactly
+// — the same μ-weighted equality
 // augmentation, here as a rank-one update G + μ²·11ᵀ and c + μ²·1, the
 // same NNLS iteration, the same renormalisation and degenerate-case
 // fallbacks — with per-solve cost independent of the row count.
@@ -655,77 +606,4 @@ func SimplexLeastSquaresGramWarm(g *Matrix, c []float64, ainf, bnorm float64, wa
 	}
 	Scale(1/s, beta)
 	return beta, nil
-}
-
-// SimplexLeastSquaresPGGram is the Gram-form FISTA solver: identical
-// iteration to SimplexLeastSquaresPG with the gradient computed as
-// G·y − c and the Lipschitz constant supplied by the caller (pass
-// lip <= 0 to estimate it by power iteration on g).
-func SimplexLeastSquaresPGGram(g *Matrix, c []float64, lip float64, maxIter int, tol float64) ([]float64, error) {
-	k := g.Rows
-	if k == 0 {
-		return nil, ErrNoColumns
-	}
-	if g.Cols != k {
-		return nil, fmt.Errorf("linalg: simplex LS Gram matrix is %dx%d, want square", g.Rows, g.Cols)
-	}
-	if len(c) != k {
-		return nil, fmt.Errorf("linalg: simplex LS Gram vector length %d != order %d", len(c), k)
-	}
-	if k == 1 {
-		return []float64{1}, nil
-	}
-	if maxIter <= 0 {
-		maxIter = 2000
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if lip <= 0 {
-		lip = powerIterSym(g, 200)
-	}
-	if lip <= 0 {
-		beta := make([]float64, k)
-		for j := range beta {
-			beta[j] = 1 / float64(k)
-		}
-		return beta, nil
-	}
-	step := 1 / lip
-
-	x := make([]float64, k)
-	for j := range x {
-		x[j] = 1 / float64(k)
-	}
-	y := make([]float64, k)
-	copy(y, x)
-	t := 1.0
-	prev := make([]float64, k)
-	grad := make([]float64, k)
-	proj := make([]float64, k)
-	for iter := 0; iter < maxIter; iter++ {
-		copy(prev, x)
-		// grad = G·y − c.
-		g.MulVecInto(grad, y)
-		for j := range grad {
-			grad[j] -= c[j]
-		}
-		for j := range x {
-			x[j] = y[j] - step*grad[j]
-		}
-		projectSimplexInto(x, proj)
-		tNext := (1 + math.Sqrt(1+4*t*t)) / 2
-		for j := range y {
-			y[j] = x[j] + (t-1)/tNext*(x[j]-prev[j])
-		}
-		t = tNext
-		var diff float64
-		for j := range x {
-			diff += math.Abs(x[j] - prev[j])
-		}
-		if diff < tol {
-			break
-		}
-	}
-	return x, nil
 }

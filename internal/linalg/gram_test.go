@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -107,62 +106,6 @@ func TestNNLSGramIllConditioned(t *testing.T) {
 	}
 }
 
-func TestSimplexLSGramMatchesDenseTall(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 40; trial++ {
-		k := 2 + rng.Intn(7)
-		m := 8*(k+1) + 1 + rng.Intn(200)
-		a, b := randTall(rng, m, k)
-
-		dense, err := SimplexLeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: dense: %v", trial, err)
-		}
-		gram, err := SimplexLeastSquaresGram(a.Gram(), a.MulVecT(b), matInfNorm(a), Norm2(b))
-		if err != nil {
-			t.Fatalf("trial %d: gram: %v", trial, err)
-		}
-		if !onSimplex(gram, 1e-12) {
-			t.Fatalf("trial %d: gram solution off simplex: %v", trial, gram)
-		}
-		for j := range dense {
-			if math.Abs(dense[j]-gram[j]) > 1e-9 {
-				t.Fatalf("trial %d (m=%d k=%d): β differs at %d: dense %v gram %v",
-					trial, a.Rows, k, j, dense, gram)
-			}
-		}
-	}
-}
-
-func TestSimplexLSGramIllConditioned(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 25; trial++ {
-		k := 3 + rng.Intn(4)
-		m := 8*(k+1) + 1 + rng.Intn(100)
-		a, b := randTall(rng, m, k)
-		for i := 0; i < m; i++ {
-			a.Set(i, 2, a.At(i, 1)*(1+1e-8*rng.Float64()))
-		}
-
-		dense, err := SimplexLeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: dense: %v", trial, err)
-		}
-		gram, err := SimplexLeastSquaresGram(a.Gram(), a.MulVecT(b), matInfNorm(a), Norm2(b))
-		if err != nil {
-			t.Fatalf("trial %d: gram: %v", trial, err)
-		}
-		od, og := lsObjective(a, b, dense), lsObjective(a, b, gram)
-		if relDiff(od, og) > 1e-9 {
-			t.Fatalf("trial %d: objective mismatch: dense %.15g gram %.15g (β dense %v gram %v)",
-				trial, od, og, dense, gram)
-		}
-		if !onSimplex(gram, 1e-12) {
-			t.Fatalf("trial %d: gram solution off simplex: %v", trial, gram)
-		}
-	}
-}
-
 func TestSimplexLSGramWarmMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 30; trial++ {
@@ -198,90 +141,6 @@ func TestSimplexLSGramWarmMatchesCold(t *testing.T) {
 					t.Fatalf("trial %d seed %d: warm diverges: cold %v warm %v", trial, si, cold, warm)
 				}
 			}
-		}
-	}
-}
-
-func TestGramDegenerateCases(t *testing.T) {
-	mk := func(rows ...[]float64) *Matrix {
-		m, err := MatrixFromRows(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	cases := []struct {
-		name string
-		a    *Matrix
-		b    []float64
-	}{
-		{"k=1", mk([]float64{2}, []float64{3}, []float64{1}), []float64{1, 2, 0.5}},
-		{"zero b", mk([]float64{1, 2}, []float64{3, 4}, []float64{5, 6}), []float64{0, 0, 0}},
-		{"b orthogonal to cone", mk([]float64{1, 0}, []float64{0, 1}, []float64{0, 0}), []float64{-1, -1, 0}},
-		{"duplicate columns", mk([]float64{1, 1}, []float64{2, 2}, []float64{3, 3}), []float64{1, 2, 3}},
-		{"zero matrix", mk([]float64{0, 0}, []float64{0, 0}, []float64{0, 0}), []float64{1, 2, 3}},
-		{"rank deficient", mk([]float64{1, 2, 3}, []float64{2, 4, 6}, []float64{3, 6, 9}, []float64{1, 2, 3}), []float64{1, 1, 1, 1}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dense, err := SimplexLeastSquares(tc.a, tc.b)
-			if err != nil {
-				t.Fatalf("dense: %v", err)
-			}
-			gram, err := SimplexLeastSquaresGram(tc.a.Gram(), tc.a.MulVecT(tc.b), matInfNorm(tc.a), Norm2(tc.b))
-			if err != nil {
-				t.Fatalf("gram: %v", err)
-			}
-			if len(gram) != len(dense) {
-				t.Fatalf("length mismatch: dense %v gram %v", dense, gram)
-			}
-			od, og := lsObjective(tc.a, tc.b, dense), lsObjective(tc.a, tc.b, gram)
-			if relDiff(od, og) > 1e-9 {
-				t.Fatalf("objective mismatch: dense %.15g (%v) gram %.15g (%v)", od, dense, og, gram)
-			}
-			if !onSimplex(gram, 1e-12) {
-				t.Fatalf("gram solution off simplex: %v", gram)
-			}
-		})
-	}
-
-	if _, err := SimplexLeastSquaresGram(NewMatrix(0, 0), nil, 0, 0); err != ErrNoColumns {
-		t.Fatalf("k=0 should return ErrNoColumns, got %v", err)
-	}
-	if got, err := SimplexLeastSquaresGram(NewMatrix(1, 1), []float64{5}, 1, 1); err != nil || len(got) != 1 || got[0] != 1 {
-		t.Fatalf("k=1 fast path: got %v, %v", got, err)
-	}
-	if x, err := NNLSGram(NewMatrix(0, 0), nil, 0); err != nil || x != nil {
-		t.Fatalf("empty NNLSGram: got %v, %v", x, err)
-	}
-}
-
-func TestSimplexLSPGGramMatchesPG(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 20; trial++ {
-		k := 2 + rng.Intn(6)
-		m := 20 + rng.Intn(100)
-		a, b := randTall(rng, m, k)
-
-		pg, err := SimplexLeastSquaresPG(a, b, 4000, 1e-13)
-		if err != nil {
-			t.Fatalf("trial %d: PG: %v", trial, err)
-		}
-		g := a.Gram()
-		c := a.MulVecT(b)
-		pgg, err := SimplexLeastSquaresPGGram(g, c, 0, 4000, 1e-13)
-		if err != nil {
-			t.Fatalf("trial %d: PGGram: %v", trial, err)
-		}
-		// Both run the identical FISTA recursion; the gradient is
-		// algebraically equal (Aᵀ(Ay−b) vs Gy−c) but rounded
-		// differently, so compare objective values.
-		op, og := lsObjective(a, b, pg), lsObjective(a, b, pgg)
-		if relDiff(op, og) > 1e-9 {
-			t.Fatalf("trial %d: objective mismatch: PG %.15g PGGram %.15g", trial, op, og)
-		}
-		if !onSimplex(pgg, 1e-9) {
-			t.Fatalf("trial %d: PGGram off simplex: %v", trial, pgg)
 		}
 	}
 }
@@ -406,135 +265,4 @@ func TestMulATBMatchesApplyTInto(t *testing.T) {
 	if out := MulATB(NewMatrix(3, 2), nil); out.Rows != 2 || out.Cols != 0 {
 		t.Fatalf("MulATB with no columns: got %dx%d", out.Rows, out.Cols)
 	}
-}
-
-func TestGramSystemSimplexLS(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 20; trial++ {
-		k := 2 + rng.Intn(6)
-		m := 8*(k+1) + 1 + rng.Intn(300)
-		a, b := randTall(rng, m, k)
-		gs := NewGramSystem(a)
-		if gs.Rows() != m || gs.Cols() != k {
-			t.Fatalf("GramSystem dims %dx%d, want %dx%d", gs.Rows(), gs.Cols(), m, k)
-		}
-
-		dense, err := SimplexLeastSquares(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: dense: %v", trial, err)
-		}
-		fast, err := gs.SimplexLS(b, nil)
-		if err != nil {
-			t.Fatalf("trial %d: SimplexLS: %v", trial, err)
-		}
-		for j := range dense {
-			if math.Abs(dense[j]-fast[j]) > 1e-9 {
-				t.Fatalf("trial %d: β differs: dense %v fast %v", trial, dense, fast)
-			}
-		}
-		warm, err := gs.SimplexLS(b, fast)
-		if err != nil {
-			t.Fatalf("trial %d: warm SimplexLS: %v", trial, err)
-		}
-		for j := range fast {
-			if math.Abs(fast[j]-warm[j]) > 1e-9 {
-				t.Fatalf("trial %d: warm differs: %v vs %v", trial, fast, warm)
-			}
-		}
-
-		pg, err := gs.SimplexLSPG(b, 4000, 1e-13)
-		if err != nil {
-			t.Fatalf("trial %d: SimplexLSPG: %v", trial, err)
-		}
-		od, og := lsObjective(a, b, dense), lsObjective(a, b, pg)
-		// FISTA converges to the same optimum but stops on a step-size
-		// criterion; allow a looser objective agreement.
-		if relDiff(od, og) > 1e-6 {
-			t.Fatalf("trial %d: PG objective %.15g vs dense %.15g", trial, og, od)
-		}
-	}
-
-	gs := NewGramSystem(NewMatrix(3, 0))
-	if _, err := gs.SimplexLS([]float64{1, 2, 3}, nil); err != ErrNoColumns {
-		t.Fatalf("k=0 SimplexLS: want ErrNoColumns, got %v", err)
-	}
-	if _, err := gs.SimplexLSPG([]float64{1, 2, 3}, 0, 0); err != ErrNoColumns {
-		t.Fatalf("k=0 SimplexLSPG: want ErrNoColumns, got %v", err)
-	}
-	gs1 := NewGramSystem(NewMatrix(4, 1))
-	if got, err := gs1.SimplexLS([]float64{1, 2, 3, 4}, nil); err != nil || len(got) != 1 || got[0] != 1 {
-		t.Fatalf("k=1 SimplexLS: got %v, %v", got, err)
-	}
-	if _, err := gs1.SimplexLS([]float64{1}, nil); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-}
-
-func TestGramSystemLipschitzCached(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	a := NewMatrix(200, 4)
-	for i := range a.Data {
-		a.Data[i] = rng.Float64()
-	}
-	gs := NewGramSystem(a)
-	want := powerIterSym(a.Gram(), 200)
-	got := gs.Lipschitz()
-	if relDiff(want, got) > 1e-12 {
-		t.Fatalf("Lipschitz: want %v got %v", want, got)
-	}
-	// Concurrent first use must still produce one consistent value.
-	gs2 := NewGramSystem(a)
-	var wg sync.WaitGroup
-	vals := make([]float64, 8)
-	for i := range vals {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i] = gs2.Lipschitz()
-		}(i)
-	}
-	wg.Wait()
-	for _, v := range vals {
-		if v != got {
-			t.Fatalf("concurrent Lipschitz values diverge: %v vs %v", vals, got)
-		}
-	}
-}
-
-func TestProjectSimplexConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	inputs := make([][]float64, 64)
-	want := make([][]float64, len(inputs))
-	for i := range inputs {
-		n := 1 + rng.Intn(40)
-		v := make([]float64, n)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		inputs[i] = v
-		w := make([]float64, n)
-		copy(w, v)
-		scratch := make([]float64, n)
-		projectSimplexInto(w, scratch)
-		want[i] = w
-	}
-	var wg sync.WaitGroup
-	for rep := 0; rep < 8; rep++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, v := range inputs {
-				got := make([]float64, len(v))
-				copy(got, v)
-				ProjectSimplex(got)
-				for j := range got {
-					if got[j] != want[i][j] {
-						t.Errorf("input %d: pooled projection differs at %d", i, j)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -21,9 +21,9 @@ var ErrShuttingDown = errors.New("serve: shutting down")
 // the timer expires, whichever comes first. Batches are keyed by
 // *Instance, so a hot swap splits traffic cleanly between generations.
 //
-// Coalescing does not change results: the fused batch path is bitwise
-// identical to per-call Align for the serving engine configuration
-// (no retained crosswalks, no fallback).
+// Coalescing does not change results, for any engine configuration:
+// Align and AlignAll run the same redistribution kernel, and each
+// attribute's result is bitwise identical at every batch width.
 type Coalescer struct {
 	maxBatch int
 	maxWait  time.Duration

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 	"unsafe"
+
+	"geoalign/internal/atomicfile"
 )
 
 // rsec is one parsed section table entry.
@@ -366,35 +368,12 @@ func (f *File) Close() error {
 }
 
 // WriteFile writes the assembled snapshot atomically: to a temporary
-// file in the destination directory, fsynced, then renamed over path.
-// A crash mid-write never leaves a half-written snapshot where a
-// loader could find it.
+// file in the destination directory, fsynced, then renamed over path
+// (see atomicfile). A crash mid-write never leaves a half-written
+// snapshot where a loader could find it.
 func WriteFile(path string, w *Writer) error {
-	dir, base := splitPath(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+	return atomicfile.WriteFile(path, func(f io.Writer) error {
+		_, err := w.WriteTo(f)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := w.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func splitPath(path string) (dir, base string) {
-	for i := len(path) - 1; i >= 0; i-- {
-		if os.IsPathSeparator(path[i]) {
-			return path[:i+1], path[i+1:]
-		}
-	}
-	return ".", path
+	})
 }

@@ -50,9 +50,11 @@ func SetKernelWorkers(n int) {
 	kernelWorkers.Store(int64(n))
 }
 
-// kernelWorkerCount returns how many workers a kernel over a matrix
-// with the given nnz should use; 1 means "run serially".
-func kernelWorkerCount(nnz int) int {
+// KernelWorkerCount returns how many workers a kernel over a matrix
+// with the given nnz should use; 1 means "run serially". Kernels
+// outside this package use it to follow the same threshold and
+// worker-count settings.
+func KernelWorkerCount(nnz int) int {
 	if int64(nnz) < parallelThreshold.Load() {
 		return 1
 	}
@@ -100,7 +102,7 @@ func (m *CSR) rowBlocks(n int) [][2]int {
 // parallel threshold, in a single call fn(0, Rows) otherwise. fn must
 // only touch state derived from its own row range.
 func (m *CSR) ForEachRowBlock(fn func(lo, hi int)) {
-	w := kernelWorkerCount(m.NNZ())
+	w := KernelWorkerCount(m.NNZ())
 	if w <= 1 || m.Rows < 2 {
 		fn(0, m.Rows)
 		return
@@ -160,7 +162,7 @@ func (m *CSR) colAccumulate(out []float64, perRow func(dst []float64, i int)) {
 	if len(out) != m.Cols {
 		panic(fmt.Sprintf("sparse: column accumulation length %d != cols %d", len(out), m.Cols))
 	}
-	w := kernelWorkerCount(m.NNZ())
+	w := KernelWorkerCount(m.NNZ())
 	if w <= 1 || m.Rows < 2 {
 		for j := range out {
 			out[j] = 0

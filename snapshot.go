@@ -2,7 +2,6 @@ package geoalign
 
 import (
 	"io"
-	"runtime"
 
 	"geoalign/internal/core"
 )
@@ -28,10 +27,9 @@ func (m *SnapshotMeta) toCore() *core.SnapshotMeta {
 // checksummed binary file that OpenSnapshot maps back at near-zero
 // cost. The write is atomic (temp file + rename). meta may be nil.
 //
-// Lazily computed solver state (the projected-gradient Lipschitz
-// constant, the Gram Cholesky factor) is included only if it has been
-// computed; call PrecomputeSolverCaches first to force it in, as
-// `geoalign snapshot build` does.
+// Lazily computed solver state (the Gram Cholesky factor) is included
+// only if it has been computed; call PrecomputeSolverCaches first to
+// force it in, as `geoalign snapshot build` does.
 func (a *Aligner) WriteSnapshot(path string, meta *SnapshotMeta) error {
 	return a.engine.WriteSnapshotFile(path, meta.toCore())
 }
@@ -42,9 +40,9 @@ func (a *Aligner) WriteSnapshotTo(w io.Writer, meta *SnapshotMeta) (int64, error
 	return a.engine.WriteSnapshot(w, meta.toCore())
 }
 
-// PrecomputeSolverCaches forces the lazily computed solver state so a
-// subsequent WriteSnapshot persists it and snapshot-loaded aligners
-// never pay for it.
+// PrecomputeSolverCaches forces the lazily computed solver state (the
+// Gram Cholesky factor) so a subsequent WriteSnapshot persists it and
+// snapshot-loaded aligners never pay for it.
 func (a *Aligner) PrecomputeSolverCaches() { a.engine.PrecomputeSolverCaches() }
 
 // OpenSnapshot maps the snapshot at path and rebuilds an Aligner around
@@ -64,19 +62,11 @@ func OpenSnapshot(path string, opts *AlignerOptions) (*Aligner, *SnapshotMeta, e
 	if opts == nil {
 		opts = &AlignerOptions{}
 	}
-	coreOpts := core.Options{KeepDM: !opts.DiscardCrosswalks, DenseSolver: opts.DenseSolver}
-	if opts.Fallback != nil {
-		coreOpts.FallbackDM = opts.Fallback.matrix()
-	}
-	engine, m, err := core.LoadSnapshot(path, coreOpts)
+	engine, m, err := core.LoadSnapshot(path, opts.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return &Aligner{engine: engine, workers: workers}, &SnapshotMeta{SourceKeys: m.SourceKeys, TargetKeys: m.TargetKeys}, nil
+	return &Aligner{engine: engine, workers: opts.workerCount()}, &SnapshotMeta{SourceKeys: m.SourceKeys, TargetKeys: m.TargetKeys}, nil
 }
 
 // Close releases the mapped snapshot backing an OpenSnapshot aligner.
